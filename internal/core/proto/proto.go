@@ -3,16 +3,18 @@
 // protocols (Figures 6–9) are specified as reactive state machines — events
 // in (frame indications, timer expiry, can-data.nty), actions out (queue a
 // remote frame, set or cancel a timer, deliver a notification). A core is a
-// pure struct with a single
+// pure struct behind the one contract every driver shares, Core:
 //
-//	Step(Event) []Command
+//	StepInto(Event, *CommandBuf)
+//	Fingerprint(*maphash.Hash)
 //
-// entry point; it holds no scheduler, layer or trace handles. The runtime
-// binding (internal/stack) pumps events in and executes the returned
-// commands against the simulated media; internal/replay re-executes cores
-// from a recorded event log and asserts command-for-command equality; the
-// interleaving explorer (internal/core) drives cores through permuted event
-// orderings with no bus simulation at all.
+// It holds no scheduler, layer or trace handles. The runtime binding
+// (internal/stack) pumps events in and executes the emitted commands
+// against the simulated media; internal/replay re-executes cores from a
+// recorded event log and asserts command-for-command equality; the
+// exploration engine (internal/explore) drives cores through permuted
+// event orderings with no bus simulation at all, hashing their
+// fingerprints to prune converged branches.
 //
 // Both Event and Command are comparable value types (payloads are inlined
 // into a fixed array — a CAN payload is at most 8 bytes), so replay
@@ -20,30 +22,34 @@
 //
 // # Allocation discipline
 //
-// Step allocates a fresh command slice per call, which is fine for tests
-// and replay but puts the allocator on the simulation hot path: a steady
-// 1 Mbit/s bus delivers hundreds of frames per virtual second, and every
-// delivery steps several cores at every node. The hot entry point is
-// therefore
-//
-//	StepInto(Event, *CommandBuf)
-//
-// which appends into a caller-owned, reusable CommandBuf; Step is a thin
-// compatibility wrapper over it. Trace output follows the same discipline:
-// cores emit *lazy* trace commands (a TraceMsgID template plus operands
-// already inlined in the Command) instead of pre-formatted strings, and the
-// text is rendered by TraceText only when a trace sink is actually
-// attached — a run on the fast substrate formats nothing at all.
+// A steady 1 Mbit/s bus delivers hundreds of frames per virtual second,
+// and every delivery steps several cores at every node, so StepInto
+// appends into a caller-owned, reusable CommandBuf instead of returning a
+// fresh slice. Trace output follows the same discipline: cores emit *lazy*
+// trace commands (a TraceMsgID template plus operands already inlined in
+// the Command) instead of pre-formatted strings, and the text is rendered
+// by TraceText only when a trace sink is actually attached — a run on the
+// fast substrate formats nothing at all.
 package proto
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strings"
 
 	"canely/internal/can"
 	"canely/internal/sim"
 	"canely/internal/trace"
 )
+
+// Core is the contract every sans-I/O protocol core honours: StepInto
+// consumes one event and appends the commands it emits to buf, and
+// Fingerprint writes the core's complete mutable state into h (equal
+// states hash equal; see internal/fptest for the checked properties).
+type Core interface {
+	StepInto(ev Event, buf *CommandBuf)
+	Fingerprint(h *maphash.Hash)
+}
 
 // TimerID names one of a core's logical timers. The binding owns the
 // concrete alarm machinery; cores refer to timers only by these ids.

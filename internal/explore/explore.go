@@ -36,6 +36,12 @@
 //
 // Violations are captured as internal/replay logs, so a counterexample
 // replays byte-for-byte through `canelysim -replay`.
+//
+// The engine does not know which protocol it explores: a Scenario names a
+// Family (family.go: the CANELy composite or the SWIM baseline) that
+// builds the nodes' proto.Cores and supplies every protocol-specific
+// predicate, while System models only the medium, the timers and the
+// crash.
 package explore
 
 import (
@@ -188,9 +194,6 @@ type Engine struct {
 
 // New validates the configuration and builds an engine.
 func New(cfg Config) (*Engine, error) {
-	if err := cfg.Scenario.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}

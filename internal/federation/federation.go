@@ -24,8 +24,8 @@
 // Tstale ≥ 4·Tann: remote segments must ride through a failover without a
 // false removal.
 //
-// Core is written in the same sans-I/O Step(Event) []Command style as the
-// other protocol cores: it is pure, comparable-value-typed and replayable
+// Core implements the same sans-I/O proto.Core contract as the other
+// protocol cores: it is pure, comparable-value-typed and replayable
 // by internal/replay. The runtime binding (internal/gateway) pumps local
 // segment views in as EvFedLocalView, received backbone frames as
 // EvDataInd, and executes the digest transmissions, timers and site
@@ -120,14 +120,6 @@ func New(cfg Config) (*Core, error) {
 func (c *Core) Clone() *Core {
 	d := *c
 	return &d
-}
-
-// Step consumes one event and returns a fresh command slice (nil when the
-// event produced no action). Compatibility wrapper over StepInto.
-func (c *Core) Step(ev proto.Event) []proto.Command {
-	var buf proto.CommandBuf
-	c.StepInto(ev, &buf)
-	return buf.Commands()
 }
 
 // StepInto consumes one event, appending the resulting commands to buf.

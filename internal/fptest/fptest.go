@@ -1,10 +1,11 @@
 // Package fptest checks the Fingerprint contract every sans-I/O protocol
-// core honours: the fingerprint is a pure function of the core's observable
-// state (equal states hash equal — the exploration engine's state-hash
-// pruning is unsound otherwise) and covers all of it (every state-mutating
-// Step perturbs the hash — a silently un-fingerprinted field would let the
-// engine prune two genuinely different states against each other and skip
-// the schedules separating them).
+// core (proto.Core) honours: the fingerprint is a pure function of the
+// core's observable state (equal states hash equal — the exploration
+// engine's state-hash pruning is unsound otherwise) and covers all of it
+// (every state-mutating step perturbs the hash — a silently
+// un-fingerprinted field would let the engine prune two genuinely
+// different states against each other and skip the schedules separating
+// them). Feed is the one-shot stepping helper core tests share.
 package fptest
 
 import (
@@ -14,11 +15,12 @@ import (
 	"canely/internal/core/proto"
 )
 
-// Core is the slice of a protocol core the fingerprint properties need:
-// every core under test exposes the sans-I/O StepInto plus Fingerprint.
-type Core interface {
-	StepInto(proto.Event, *proto.CommandBuf)
-	Fingerprint(*maphash.Hash)
+// Feed steps c through one event and returns the commands it emitted as a
+// fresh slice, nil when the event produced no action.
+func Feed(c proto.Core, ev proto.Event) []proto.Command {
+	var buf proto.CommandBuf
+	c.StepInto(ev, &buf)
+	return buf.Commands()
 }
 
 // Step is one scripted event together with the expected effect on the
@@ -40,15 +42,9 @@ type Step struct {
 // trajectory step for step (the clone is a full peer, not a shallow
 // view), and must leave the original's fingerprint untouched (no aliased
 // mutable state).
-func CheckClone(t *testing.T, fresh func() Core, clone func(Core) Core, script []Step) {
+func CheckClone(t *testing.T, fresh func() proto.Core, clone func(proto.Core) proto.Core, script []Step) {
 	t.Helper()
-	seed := maphash.MakeSeed()
-	sum := func(c Core) uint64 {
-		var h maphash.Hash
-		h.SetSeed(seed)
-		c.Fingerprint(&h)
-		return h.Sum64()
-	}
+	sum := hasher()
 
 	// Reference trajectory: the uncloned run's fingerprint at every prefix.
 	ref := fresh()
@@ -92,15 +88,9 @@ func CheckClone(t *testing.T, fresh func() Core, clone func(Core) Core, script [
 // property at every step, then replays the identical script on a second
 // fresh core and asserts fingerprint equality at every prefix — two cores
 // that processed the same events are in equal states and must hash equal.
-func Check(t *testing.T, fresh func() Core, script []Step) {
+func Check(t *testing.T, fresh func() proto.Core, script []Step) {
 	t.Helper()
-	seed := maphash.MakeSeed()
-	sum := func(c Core) uint64 {
-		var h maphash.Hash
-		h.SetSeed(seed)
-		c.Fingerprint(&h)
-		return h.Sum64()
-	}
+	sum := hasher()
 
 	a := fresh()
 	fps := []uint64{sum(a)}
@@ -130,5 +120,16 @@ func Check(t *testing.T, fresh func() Core, script []Step) {
 			t.Errorf("step %d (%s): replay reached fingerprint %#x, original run had %#x",
 				i, st.Name, got, fps[i+1])
 		}
+	}
+}
+
+// hasher returns a fingerprint function under one fresh seed.
+func hasher() func(proto.Core) uint64 {
+	seed := maphash.MakeSeed()
+	return func(c proto.Core) uint64 {
+		var h maphash.Hash
+		h.SetSeed(seed)
+		c.Fingerprint(&h)
+		return h.Sum64()
 	}
 }

@@ -269,14 +269,6 @@ func (g *Core) Fingerprint(h *maphash.Hash) {
 	}
 }
 
-// Step consumes one event and returns a fresh command slice (nil when the
-// event produced no action). Compatibility wrapper over StepInto.
-func (g *Core) Step(ev proto.Event) []proto.Command {
-	var buf proto.CommandBuf
-	g.StepInto(ev, &buf)
-	return buf.Commands()
-}
-
 // StepInto consumes one event, appending the resulting commands to buf.
 func (g *Core) StepInto(ev proto.Event, buf *proto.CommandBuf) {
 	switch ev.Kind {

@@ -1,9 +1,9 @@
 // Package replay records the event/command streams of the sans-I/O
 // protocol cores during a live run and deterministically re-executes them.
 //
-// Because a core is pure — Step(Event) []Command, no scheduler, bus or
-// trace handles — its entire behaviour is a function of its configuration
-// and the event sequence it consumed. A Log captures both; Verify rebuilds
+// Because a core is pure — a proto.Core consumes events through StepInto
+// and holds no scheduler, bus or trace handles — its entire behaviour is a
+// function of its configuration and the event sequence it consumed. A Log captures both; Verify rebuilds
 // fresh cores from the recorded configurations, pumps the recorded events
 // through them in order, and asserts command-for-command equality with the
 // recorded outputs. Any divergence (a non-deterministic core, an unrecorded
@@ -38,7 +38,7 @@ type NodeConfig struct {
 	Gossip *gossip.Config     `json:"gossip,omitempty"`
 }
 
-// Record is one Step of one node: the event consumed and the fully-routed
+// Record is one step of one node: the event consumed and the fully-routed
 // command stream it produced.
 type Record struct {
 	Node     can.NodeID      `json:"node"`
@@ -76,7 +76,7 @@ func (l *Log) RegisterGossip(id can.NodeID, cfg gossip.Config) {
 	l.Nodes = append(l.Nodes, NodeConfig{ID: id, Gossip: &cfg})
 }
 
-// Append records one Step. The command slice is copied: callers (the stack
+// Append records one step. The command slice is copied: callers (the stack
 // binding) hand in views of reused buffers that are invalid past the call.
 // Recording is a diagnostic mode, so this cold-path allocation is fine.
 func (l *Log) Append(id can.NodeID, ev proto.Event, cmds []proto.Command) {
@@ -104,16 +104,16 @@ func Load(r io.Reader) (*Log, error) {
 	return &l, nil
 }
 
-// stepper is the replayable surface both core kinds share.
-type stepper interface {
-	StepInto(proto.Event, *proto.CommandBuf)
-}
-
 // Verify re-executes the log on fresh cores and checks command-for-command
 // equality. It returns nil when the replay reproduces the capture exactly.
+// A log that registers one node id twice is rejected: logs come from
+// files, and the second configuration would silently replace the first.
 func (l *Log) Verify() error {
-	nodes := make(map[can.NodeID]stepper, len(l.Nodes))
+	nodes := make(map[can.NodeID]proto.Core, len(l.Nodes))
 	for _, nc := range l.Nodes {
+		if nodes[nc.ID] != nil {
+			return fmt.Errorf("replay: node %v registered twice", nc.ID)
+		}
 		switch {
 		case nc.Fed != nil:
 			n, err := federation.New(*nc.Fed)

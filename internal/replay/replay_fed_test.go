@@ -9,6 +9,7 @@ import (
 	"canely/internal/can"
 	"canely/internal/core/proto"
 	"canely/internal/federation"
+	"canely/internal/fptest"
 	"canely/internal/sim"
 )
 
@@ -29,7 +30,7 @@ func TestFederationLogRoundTrips(t *testing.T) {
 	log := New()
 	log.RegisterFed(7, cfg)
 	step := func(ev proto.Event) {
-		log.Append(7, ev, core.Step(ev))
+		log.Append(7, ev, fptest.Feed(core, ev))
 	}
 	step(proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1, 7)})
 	step(proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 2)})

@@ -7,7 +7,11 @@ import (
 	"time"
 
 	"canely/internal/can"
+	"canely/internal/core"
+	"canely/internal/core/fd"
+	"canely/internal/core/membership"
 	"canely/internal/core/proto"
+	"canely/internal/fptest"
 	"canely/internal/gossip"
 	"canely/internal/sim"
 )
@@ -25,14 +29,14 @@ func TestGossipLogRoundTrips(t *testing.T) {
 		Fanout:         2,
 		Retransmit:     3,
 	}
-	core, err := gossip.New(0, cfg)
+	g, err := gossip.New(0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	log := New()
 	log.RegisterGossip(0, cfg)
 	step := func(ev proto.Event) {
-		log.Append(0, ev, core.Step(ev))
+		log.Append(0, ev, fptest.Feed(g, ev))
 	}
 	at := func(ms int) sim.Time { return sim.Time(time.Duration(ms) * time.Millisecond) }
 	step(proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 1, 2)})
@@ -69,5 +73,36 @@ func TestGossipLogRoundTrips(t *testing.T) {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("render missing %q:\n%s", want, rendered)
 		}
+	}
+}
+
+// TestVerifyRejectsDuplicateNode pins that a log registering one node id
+// twice — here a composite core and a gossip core under id 0 — fails with
+// an error naming the id, instead of replaying against whichever
+// configuration happened to be registered last.
+func TestVerifyRejectsDuplicateNode(t *testing.T) {
+	ccfg := core.Config{
+		FD: fd.Config{Tb: 10 * time.Millisecond, Ttd: 2 * time.Millisecond},
+		Membership: membership.Config{
+			Tm:        50 * time.Millisecond,
+			TjoinWait: 120 * time.Millisecond,
+			RHA:       membership.RHAConfig{Trha: 5 * time.Millisecond, J: 2},
+		},
+	}
+	n, err := core.New(0, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := New()
+	log.Register(0, ccfg)
+	log.RegisterGossip(0, gossip.Config{
+		Period: 20 * time.Millisecond, AckTimeout: 5 * time.Millisecond,
+		SuspectTimeout: 60 * time.Millisecond, Fanout: 1, Retransmit: 3,
+	})
+	ev := proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 1)}
+	log.Append(0, ev, fptest.Feed(n, ev))
+	err = log.Verify()
+	if err == nil || !strings.Contains(err.Error(), "node "+can.NodeID(0).String()+" registered twice") {
+		t.Fatalf("duplicate registration of node 0: got %v", err)
 	}
 }

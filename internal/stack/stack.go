@@ -427,7 +427,7 @@ func (st *Stack) ActiveMedium() int {
 // dependency.
 type siteView struct{ st *Stack }
 
-func (v siteView) View() can.NodeSet                    { return v.st.Msh.View() }
+func (v siteView) View() can.NodeSet                   { return v.st.Msh.View() }
 func (v siteView) OnChange(fn func(membership.Change)) { v.st.OnChange(fn) }
 
 // EnableGroups starts the process-group membership service: registrations
